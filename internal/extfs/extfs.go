@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"ptsbench/internal/blockdev"
+	"ptsbench/internal/freeset"
 	"ptsbench/internal/sim"
 )
 
@@ -88,7 +89,7 @@ func (fs *FS) Device() blockdev.Dev { return fs.dev }
 func (fs *FS) CapacityPages() int64 { return fs.dev.Pages() - metaPages }
 
 // FreePages returns the number of unallocated data pages.
-func (fs *FS) FreePages() int64 { return fs.alloc.totalFree }
+func (fs *FS) FreePages() int64 { return fs.alloc.free.Total() }
 
 // UsedPages returns pages allocated to live files plus metadata.
 func (fs *FS) UsedPages() int64 { return fs.usedDataPages + metaPages }
@@ -342,26 +343,31 @@ type extent struct {
 // allocation scans forward from a cursor that only wraps at the end of
 // the partition. Freed space behind the cursor is therefore not reused
 // until the cursor wraps — which makes a file-churning workload (an LSM)
-// sweep the entire LBA range, as ext4 does in the paper's Fig 4.
+// sweep the entire LBA range, as ext4 does in the paper's Fig 4. The
+// policy's decisions are part of what the simulation reproduces: which
+// LBAs an LSM overwrites decides what the FTL still holds as valid data
+// under nodiscard, so the device's garbage collection — and every
+// figure downstream of it — depends on the exact pages chosen, not only
+// on how fast they are chosen.
+//
+// The free extents live in a freeset.Set, so each piece of an
+// allocation and each release costs O(log n) in the number of free
+// extents n — which reaches thousands under LSM file churn — with no
+// heap allocation in steady state.
 type allocator struct {
-	free      []extent // sorted by start, non-overlapping, non-adjacent
-	totalFree int64
-	cursor    int64
-	base      int64 // first allocatable page
-	limit     int64 // one past last allocatable page
+	free   freeset.Set
+	cursor int64
+	base   int64 // first allocatable page
+	limit  int64 // one past last allocatable page
 	// scratch backs allocate's result slice; the result is only valid
 	// until the next allocate call (every caller copies immediately).
 	scratch []extent
 }
 
 func newAllocator(base, n int64) *allocator {
-	return &allocator{
-		free:      []extent{{start: base, n: n}},
-		totalFree: n,
-		cursor:    base,
-		base:      base,
-		limit:     base + n,
-	}
+	a := &allocator{cursor: base, base: base, limit: base + n}
+	a.free.Release(freeset.Extent{Start: base, Pages: n})
+	return a
 }
 
 // allocate returns extents totalling n pages, or ErrNoSpace (leaving the
@@ -369,37 +375,35 @@ func newAllocator(base, n int64) *allocator {
 // slice aliases the allocator's scratch buffer and is valid only until
 // the next allocate call.
 func (a *allocator) allocate(n int64) ([]extent, error) {
-	if n > a.totalFree {
-		return nil, fmt.Errorf("%w (want %d pages, have %d)", ErrNoSpace, n, a.totalFree)
+	if n > a.free.Total() {
+		return nil, fmt.Errorf("%w (want %d pages, have %d)", ErrNoSpace, n, a.free.Total())
 	}
 	out := a.scratch[:0]
 	defer func() { a.scratch = out }()
 	remaining := n
 	wrapped := false
 	for remaining > 0 {
-		i := a.firstFreeAt(a.cursor)
-		if i == len(a.free) {
+		e, ok := a.free.FirstEndingAfter(a.cursor)
+		if !ok {
 			if wrapped {
-				// Should be impossible: totalFree said there was space.
+				// Should be impossible: the free total said there was space.
 				panic("extfs: allocator inconsistency")
 			}
 			a.cursor = a.base
 			wrapped = true
 			continue
 		}
-		e := &a.free[i]
-		start := e.start
+		start := e.Start
 		if start < a.cursor {
 			start = a.cursor
 		}
-		avail := e.start + e.n - start
+		avail := e.End() - start
 		take := avail
 		if take > remaining {
 			take = remaining
 		}
 		out = append(out, extent{start: start, n: take})
-		a.carve(i, start, take)
-		a.totalFree -= take
+		a.free.Carve(start, take)
 		remaining -= take
 		a.cursor = start + take
 		if a.cursor >= a.limit {
@@ -410,53 +414,7 @@ func (a *allocator) allocate(n int64) ([]extent, error) {
 	return out, nil
 }
 
-// firstFreeAt returns the index of the first free extent containing or
-// after page p, or len(free).
-func (a *allocator) firstFreeAt(p int64) int {
-	return sort.Search(len(a.free), func(i int) bool {
-		return a.free[i].start+a.free[i].n > p
-	})
-}
-
-// carve removes [start, start+take) from free extent i, splitting as
-// needed.
-func (a *allocator) carve(i int, start, take int64) {
-	e := a.free[i]
-	leftN := start - e.start
-	rightN := (e.start + e.n) - (start + take)
-	switch {
-	case leftN == 0 && rightN == 0:
-		a.free = append(a.free[:i], a.free[i+1:]...)
-	case leftN == 0:
-		a.free[i] = extent{start: start + take, n: rightN}
-	case rightN == 0:
-		a.free[i] = extent{start: e.start, n: leftN}
-	default:
-		a.free[i] = extent{start: e.start, n: leftN}
-		rest := extent{start: start + take, n: rightN}
-		a.free = append(a.free, extent{})
-		copy(a.free[i+2:], a.free[i+1:])
-		a.free[i+1] = rest
-	}
-}
-
 // release returns an extent to the free pool, merging neighbours.
 func (a *allocator) release(e extent) {
-	i := sort.Search(len(a.free), func(i int) bool {
-		return a.free[i].start >= e.start
-	})
-	a.free = append(a.free, extent{})
-	copy(a.free[i+1:], a.free[i:])
-	a.free[i] = e
-	a.totalFree += e.n
-	// Merge with successor.
-	if i+1 < len(a.free) && a.free[i].start+a.free[i].n == a.free[i+1].start {
-		a.free[i].n += a.free[i+1].n
-		a.free = append(a.free[:i+1], a.free[i+2:]...)
-	}
-	// Merge with predecessor.
-	if i > 0 && a.free[i-1].start+a.free[i-1].n == a.free[i].start {
-		a.free[i-1].n += a.free[i].n
-		a.free = append(a.free[:i], a.free[i+1:]...)
-	}
+	a.free.Release(freeset.Extent{Start: e.start, Pages: e.n})
 }

@@ -344,7 +344,7 @@ func TestAllocatorConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		return a.totalFree == total-int64(len(owned))
+		return a.free.Total() == total-int64(len(owned))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
