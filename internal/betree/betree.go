@@ -1,7 +1,6 @@
 package betree
 
 import (
-	"bytes"
 	"errors"
 	"time"
 
@@ -365,7 +364,7 @@ func (t *Tree) writeNode(now sim.Duration, n *node) (sim.Duration, error) {
 // tree's reused write buffer (the block device copies written bytes, so
 // aliasing the scratch across writes is safe).
 func (t *Tree) serializeImage(n *node, size int) []byte {
-	buf := serializeNode(t.writeBuf[:0], n, func(id nodeID) fileExtent {
+	buf := serializeNode(t.writeBuf[:0], &t.mem.Arena, n, func(id nodeID) fileExtent {
 		return t.nodes[id].disk
 	})
 	if cap(buf) < size {
@@ -434,12 +433,8 @@ func (t *Tree) write(now sim.Duration, key, value []byte, valueLen int, del bool
 		}
 	}
 
-	// The caller reuses its key/value buffers, so the message does not
-	// own its bytes: the node inserts clone them only when actually
-	// retained (an overwrite keeps the resident key — no allocation).
-	msg := makeMessage(key, value, t.seq, valueLen, del)
 	var err error
-	now, err = t.apply(now, msg, false)
+	now, err = t.apply(now, cowtree.NewEntry(&t.mem.Arena, key, value, t.seq, valueLen, del))
 	if err != nil {
 		t.core.Fail(err)
 		return now, err
@@ -472,29 +467,30 @@ func (t *Tree) EndGroupCommit(now sim.Duration) (sim.Duration, error) {
 // apply routes one message into the tree: into the root's buffer when
 // the root is an interior node with buffer capacity (flushing down when
 // it overflows), or straight into the root leaf / down the spine when
-// buffering is off (ε = 1). owned is the message-byte ownership flag of
-// the node inserts.
-func (t *Tree) apply(now sim.Duration, msg message, owned bool) (sim.Duration, error) {
+// buffering is off (ε = 1).
+func (t *Tree) apply(now sim.Duration, msg cowtree.Entry) (sim.Duration, error) {
 	root := t.nodes[t.root]
-	if root.leaf {
-		var err error
-		now, err = t.loadLeaf(now, root)
-		if err != nil {
-			return now, err
-		}
-		delta := root.insertLeaf(&t.mem, msg, owned)
-		t.residentBytes += int64(delta)
+	if !root.leaf && t.bufferMax > 0 {
+		root.bufInsert(&t.mem, msg)
 		t.markDirty(root)
-		t.splitLeafToFit(root)
-		return now, nil
+		return t.drainOverflow(now)
 	}
-	if t.bufferMax <= 0 {
-		// Degenerate B+Tree mode: descend to the leaf directly.
-		return t.applyToLeaf(now, msg, owned)
+	// A root leaf, or degenerate B+Tree mode: descend to the leaf
+	// directly.
+	n := root
+	for !n.leaf {
+		n = t.nodes[n.children[n.childFor(t.mem.Key(&msg))]]
 	}
-	root.bufInsert(&t.mem, msg, owned)
-	t.markDirty(root)
-	return t.drainOverflow(now)
+	var err error
+	now, err = t.loadLeaf(now, n)
+	if err != nil {
+		return now, err
+	}
+	delta := n.insertLeaf(&t.mem, msg)
+	t.residentBytes += int64(delta)
+	t.markDirty(n)
+	t.splitLeafToFit(n)
+	return now, nil
 }
 
 // drainOverflow flushes the root and any split-orphaned interior nodes
@@ -523,25 +519,6 @@ func (t *Tree) drainOverflow(now sim.Duration) (sim.Duration, error) {
 	}
 }
 
-// applyToLeaf descends to the leaf covering the message key and inserts
-// it there (the ε = 1 degenerate path).
-func (t *Tree) applyToLeaf(now sim.Duration, msg message, owned bool) (sim.Duration, error) {
-	n := t.nodes[t.root]
-	for !n.leaf {
-		n = t.nodes[n.children[n.childFor(msg.key)]]
-	}
-	var err error
-	now, err = t.loadLeaf(now, n)
-	if err != nil {
-		return now, err
-	}
-	delta := n.insertLeaf(&t.mem, msg, owned)
-	t.residentBytes += int64(delta)
-	t.markDirty(n)
-	t.splitLeafToFit(n)
-	return now, nil
-}
-
 // flushInterior pushes the busiest child's batch of buffered messages
 // one level down: into the child's buffer (interior child, recursing if
 // that overflows) or applied to the child leaf. This is the Bε-tree's
@@ -558,12 +535,12 @@ func (t *Tree) flushInterior(now sim.Duration, n *node) (sim.Duration, error) {
 	for ci := 0; ci < len(n.children); ci++ {
 		end := len(n.buf)
 		if ci < len(n.seps) {
-			end = searchMsgs(n.buf, n.seps[ci])
+			end, _ = cowtree.Find(&t.mem.Arena, n.buf, n.seps[ci])
 		}
 		if end > start {
 			b := 0
 			for i := start; i < end; i++ {
-				b += n.buf[i].bytes()
+				b += n.buf[i].Bytes()
 			}
 			if b > bestBytes {
 				bestBytes, bestCi = b, ci
@@ -593,7 +570,7 @@ func (t *Tree) flushInterior(now sim.Duration, n *node) (sim.Duration, error) {
 		t.markDirty(child)
 	} else {
 		for i := range batch {
-			child.bufInsert(&t.mem, batch[i], true)
+			child.bufInsert(&t.mem, batch[i])
 		}
 		t.markDirty(child)
 	}
@@ -649,7 +626,7 @@ func (t *Tree) insertIntoParent(left *node, sep []byte, right *node) {
 	if left.id == t.root {
 		newRoot := t.newNode(false)
 		newRoot.children = []nodeID{left.id, right.id}
-		newRoot.seps = [][]byte{t.mem.arena.Clone(sep)}
+		newRoot.seps = [][]byte{t.mem.Arena.Clone(sep)}
 		newRoot.recomputeSerialized()
 		newRoot.refreshSepCache()
 		left.parent = newRoot.id
@@ -706,13 +683,13 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 
 	n := t.nodes[t.root]
 	for !n.leaf {
-		if m := n.bufGet(key); m != nil {
+		if m := n.bufGet(&t.mem, key); m != nil {
 			t.io.BufferHits++
-			if m.del {
+			if m.Deleted() {
 				return now, nil, false, nil
 			}
-			t.stats.UserBytesRead += int64(len(key)) + int64(m.vlen)
-			return now, m.val, true, nil
+			t.stats.UserBytesRead += int64(len(key)) + int64(m.ValueLen())
+			return now, m.Value(&t.mem.Arena), true, nil
 		}
 		n = t.nodes[n.children[n.childFor(key)]]
 	}
@@ -726,13 +703,13 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 	if err != nil {
 		return now, nil, false, err
 	}
-	i := n.search(key)
-	if i >= len(n.entries) || !bytes.Equal(n.entries[i].key, key) || n.entries[i].del {
+	i, found := cowtree.Find(&t.mem.Arena, n.entries, key)
+	if !found || n.entries[i].Deleted() {
 		return now, nil, false, nil
 	}
 	e := &n.entries[i]
-	t.stats.UserBytesRead += int64(len(key)) + int64(e.vlen)
-	return now, e.val, true, nil
+	t.stats.UserBytesRead += int64(len(key)) + int64(e.ValueLen())
+	return now, e.Value(&t.mem.Arena), true, nil
 }
 
 // Scan returns up to limit live entries with key >= start, in key order,
@@ -752,17 +729,18 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 	stream := t.newMsgStream(start)
 	var out []kv.Entry
 
-	emit := func(m *message) {
-		if m.del {
+	a := &t.mem.Arena
+	emit := func(m *cowtree.Entry) {
+		if m.Deleted() {
 			return
 		}
 		e := kv.Entry{
-			Key:      append([]byte(nil), m.key...),
-			ValueLen: int(m.vlen),
-			Seq:      m.seq,
+			Key:      append([]byte(nil), t.mem.Key(m)...),
+			ValueLen: m.ValueLen(),
+			Seq:      m.Seq(),
 		}
-		if m.val != nil {
-			e.Value = append([]byte(nil), m.val...)
+		if v := m.Value(a); v != nil {
+			e.Value = append([]byte(nil), v...)
 		}
 		t.stats.UserBytesRead += int64(len(e.Key) + e.ValueLen)
 		out = append(out, e)
@@ -774,7 +752,7 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 	for !leaf.leaf {
 		leaf = t.nodes[leaf.children[leaf.childFor(start)]]
 	}
-	idx := leaf.search(start)
+	idx, _ := cowtree.Find(a, leaf.entries, start)
 	for limit > 0 && leaf != nil {
 		var err error
 		now, err = t.loadLeaf(now, leaf)
@@ -788,11 +766,11 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 			// the same key shadows the leaf entry (it is newer).
 			shadowed := false
 			for limit > 0 {
-				m := stream.peek()
+				m := stream.peek(a)
 				if m == nil {
 					break
 				}
-				c := kv.CompareKeys(m.key, le.key)
+				c := cowtree.Compare(a, m, le)
 				if c > 0 {
 					break
 				}
@@ -800,7 +778,7 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 					shadowed = true
 				}
 				emit(m)
-				stream.consume(m.key)
+				stream.consume(a, m)
 			}
 			if limit <= 0 {
 				break
@@ -820,12 +798,12 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 	}
 	// Buffered keys beyond the last leaf entry.
 	for limit > 0 {
-		m := stream.peek()
+		m := stream.peek(a)
 		if m == nil {
 			break
 		}
 		emit(m)
-		stream.consume(m.key)
+		stream.consume(a, m)
 	}
 	return now, out, nil
 }
@@ -842,7 +820,7 @@ type msgStream struct {
 }
 
 type msgCursor struct {
-	buf []message
+	buf []cowtree.Entry
 	i   int
 }
 
@@ -857,7 +835,7 @@ func (t *Tree) newMsgStream(start []byte) *msgStream {
 		if n.leaf {
 			return
 		}
-		if i := searchMsgs(n.buf, start); i < len(n.buf) {
+		if i, _ := cowtree.Find(&t.mem.Arena, n.buf, start); i < len(n.buf) {
 			s.cursors = append(s.cursors, msgCursor{buf: n.buf, i: i})
 		}
 		for ci := n.childFor(start); ci < len(n.children); ci++ {
@@ -871,8 +849,8 @@ func (t *Tree) newMsgStream(start []byte) *msgStream {
 // peek returns the next message — smallest key; for duplicate keys
 // across levels, the newest (highest seq) version — without consuming
 // it, or nil when the stream is exhausted.
-func (s *msgStream) peek() *message {
-	var best *message
+func (s *msgStream) peek(a *cowtree.Arena) *cowtree.Entry {
+	var best *cowtree.Entry
 	for ci := range s.cursors {
 		c := &s.cursors[ci]
 		if c.i >= len(c.buf) {
@@ -883,22 +861,24 @@ func (s *msgStream) peek() *message {
 			best = m
 			continue
 		}
-		switch cmp := kv.CompareKeys(m.key, best.key); {
+		switch cmp := cowtree.Compare(a, m, best); {
 		case cmp < 0:
 			best = m
-		case cmp == 0 && m.seq > best.seq:
+		case cmp == 0 && m.Seq() > best.Seq():
 			best = m
 		}
 	}
 	return best
 }
 
-// consume advances every cursor past key, discarding the shadowed older
-// duplicates along with the consumed message.
-func (s *msgStream) consume(key []byte) {
+// consume advances every cursor past m's key, discarding the shadowed
+// older duplicates along with the consumed message. m points into a
+// cursor's buffer, which the scan never mutates, so it stays valid while
+// the cursors move.
+func (s *msgStream) consume(a *cowtree.Arena, m *cowtree.Entry) {
 	for ci := range s.cursors {
 		c := &s.cursors[ci]
-		for c.i < len(c.buf) && kv.CompareKeys(c.buf[c.i].key, key) <= 0 {
+		for c.i < len(c.buf) && cowtree.Compare(a, &c.buf[c.i], m) <= 0 {
 			c.i++
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ptsbench/internal/blockdev"
+	"ptsbench/internal/cowtree"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/flash"
 	"ptsbench/internal/kv"
@@ -340,20 +341,22 @@ func TestWALowerThanPagePerUpdate(t *testing.T) {
 func TestNodeSerializationRoundTrip(t *testing.T) {
 	leaf := &node{leaf: true, serialized: pageHeaderBytes}
 	var m mem
-	leaf.insertLeaf(&m, message{key: kv.EncodeKey(1), val: []byte("abc"), seq: 7, vlen: 3}, true)
-	leaf.insertLeaf(&m, message{key: kv.EncodeKey(2), seq: 9, vlen: 64, del: true}, true)
-	data := serializeNode(nil, leaf, nil)
-	got, ok := parseNode(data)
+	leaf.insertLeaf(&m, cowtree.NewEntry(&m.Arena, kv.EncodeKey(1), []byte("abc"), 7, 3, false))
+	leaf.insertLeaf(&m, cowtree.NewEntry(&m.Arena, kv.EncodeKey(2), nil, 9, 64, true))
+	data := serializeNode(nil, &m.Arena, leaf, nil)
+	var pm mem // the parsed copy's storage
+	a := &pm.Arena
+	got, ok := parseNode(data, a)
 	if !ok {
 		t.Fatal("parse failed")
 	}
-	if len(got.entries) != 2 || !bytes.Equal(got.entries[0].key, kv.EncodeKey(1)) {
+	if len(got.entries) != 2 || !bytes.Equal(pm.Key(&got.entries[0]), kv.EncodeKey(1)) {
 		t.Fatalf("entries wrong: %v", got.entries)
 	}
-	if string(got.entries[0].val) != "abc" || got.entries[0].seq != 7 {
+	if e := &got.entries[0]; string(e.Value(a)) != "abc" || e.Seq() != 7 {
 		t.Fatal("entry 0 wrong")
 	}
-	if !got.entries[1].del || got.entries[1].seq != 9 || got.entries[1].vlen != 64 {
+	if e := &got.entries[1]; !e.Deleted() || e.Seq() != 9 || e.ValueLen() != 64 {
 		t.Fatal("tombstone entry wrong")
 	}
 
@@ -362,35 +365,35 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 		children: []nodeID{1, 2, 3},
 		seps:     [][]byte{kv.EncodeKey(10), kv.EncodeKey(20)},
 	}
-	interior.bufInsert(&m, message{key: kv.EncodeKey(5), seq: 11, vlen: 32}, true)
-	interior.bufInsert(&m, message{key: kv.EncodeKey(15), seq: 12, vlen: 16, del: true}, true)
+	interior.bufInsert(&m, cowtree.NewEntry(&m.Arena, kv.EncodeKey(5), nil, 11, 32, false))
+	interior.bufInsert(&m, cowtree.NewEntry(&m.Arena, kv.EncodeKey(15), nil, 12, 16, true))
 	interior.recomputeSerialized()
-	data = serializeNode(nil, interior, func(id nodeID) fileExtent {
+	data = serializeNode(nil, &m.Arena, interior, func(id nodeID) fileExtent {
 		return fileExtent{Start: int64(id) * 100, Pages: 4}
 	})
-	got, ok = parseNode(data)
+	got, ok = parseNode(data, a)
 	if !ok || len(got.children) != 3 || len(got.seps) != 2 {
 		t.Fatalf("interior round trip: %+v %v", got, ok)
 	}
 	if got.childExtents[2].Start != 300 || got.childExtents[2].Pages != 4 {
 		t.Fatal("child extents wrong")
 	}
-	if len(got.buf) != 2 || got.buf[0].seq != 11 || !got.buf[1].del {
+	if len(got.buf) != 2 || got.buf[0].Seq() != 11 || !got.buf[1].Deleted() {
 		t.Fatalf("buffer round trip wrong: %+v", got.buf)
 	}
 	if got.bufBytes != interior.bufBytes {
 		t.Fatalf("bufBytes %d != %d", got.bufBytes, interior.bufBytes)
 	}
 
-	prefixed := serializeNode([]byte("prefix"), interior, nil)
+	prefixed := serializeNode([]byte("prefix"), &m.Arena, interior, nil)
 	if string(prefixed[:6]) != "prefix" {
 		t.Fatalf("serialize clobbered the buffer prefix: %q", prefixed[:6])
 	}
-	if got, ok := parseNode(prefixed[6:]); !ok || len(got.buf) != 2 {
+	if got, ok := parseNode(prefixed[6:], a); !ok || len(got.buf) != 2 {
 		t.Fatal("image appended after a prefix failed to parse")
 	}
 
-	if _, ok := parseNode([]byte{1, 2, 3}); ok {
+	if _, ok := parseNode([]byte{1, 2, 3}, a); ok {
 		t.Fatal("short node should fail")
 	}
 }
@@ -474,7 +477,7 @@ func TestSerializedInvariants(t *testing.T) {
 		if n.leaf {
 			sz := pageHeaderBytes
 			for i := range n.entries {
-				sz += n.entries[i].bytes()
+				sz += n.entries[i].Bytes()
 			}
 			if sz != n.serialized {
 				t.Fatalf("leaf %d serialized %d, recomputed %d", n.id, n.serialized, sz)
@@ -483,7 +486,7 @@ func TestSerializedInvariants(t *testing.T) {
 		}
 		bb := 0
 		for i := range n.buf {
-			bb += n.buf[i].bytes()
+			bb += n.buf[i].Bytes()
 		}
 		if bb != n.bufBytes {
 			t.Fatalf("node %d bufBytes %d, recomputed %d", n.id, n.bufBytes, bb)
@@ -503,7 +506,7 @@ func TestSerializedInvariants(t *testing.T) {
 		}
 		// Buffer messages route to this node's key range, sorted.
 		for i := 1; i < len(n.buf); i++ {
-			if kv.CompareKeys(n.buf[i-1].key, n.buf[i].key) >= 0 {
+			if cowtree.Compare(&tr.mem.Arena, &n.buf[i-1], &n.buf[i]) >= 0 {
 				t.Fatalf("node %d buffer out of order", n.id)
 			}
 		}

@@ -17,54 +17,13 @@ import (
 // nodeMagic marks a serialized Bε-tree node ("BEPG").
 const nodeMagic = 0x42455047
 
-// putMessage appends one serialized message (buffer message or leaf
-// entry): keyLen(2) + valueLen(4) + seq(8, tombstone bit 63) + key +
-// value (zeros in accounting mode).
-func putMessage(out []byte, m *message) []byte {
-	var hdr [msgOverhead]byte
-	binary.LittleEndian.PutUint16(hdr[0:], uint16(len(m.key)))
-	vl := int(m.vlen)
-	binary.LittleEndian.PutUint32(hdr[2:], uint32(vl))
-	seq := m.seq
-	if m.del {
-		seq |= 1 << 63
-	}
-	binary.LittleEndian.PutUint64(hdr[6:], seq)
-	out = append(out, hdr[:]...)
-	out = append(out, m.key...)
-	if m.val != nil {
-		out = append(out, m.val...)
-	} else {
-		out = cowtree.AppendZeros(out, vl)
-	}
-	return out
-}
-
-// parseMessage decodes one message, returning it and the bytes consumed
-// (0 on corruption).
-func parseMessage(data []byte) (message, int) {
-	if len(data) < msgOverhead {
-		return message{}, 0
-	}
-	kl := int(binary.LittleEndian.Uint16(data[0:]))
-	vl := int(binary.LittleEndian.Uint32(data[2:]))
-	seq := binary.LittleEndian.Uint64(data[6:])
-	if msgOverhead+kl+vl > len(data) {
-		return message{}, 0
-	}
-	m := makeMessage(
-		cloneBytes(data[msgOverhead:msgOverhead+kl]),
-		cloneBytes(data[msgOverhead+kl:msgOverhead+kl+vl]),
-		seq&^(1<<63), vl, seq&(1<<63) != 0)
-	return m, msgOverhead + kl + vl
-}
-
 // serializeNode appends the on-disk image of a node (content mode) to
 // out and returns it. Layout: header {magic, leaf flag, count,
 // bufCount}, then entries (leaf) or separators + child extent references
-// + buffered messages (interior). resolve maps a child nodeID to its
-// current on-disk extent.
-func serializeNode(out []byte, n *node, resolve func(nodeID) fileExtent) []byte {
+// + buffered messages (interior); entries and messages share one codec
+// (cowtree.AppendEntry). a is the arena their bytes live in. resolve
+// maps a child nodeID to its current on-disk extent.
+func serializeNode(out []byte, a *cowtree.Arena, n *node, resolve func(nodeID) fileExtent) []byte {
 	var hdr [pageHeaderBytes]byte
 	base := len(out)
 	out = append(out, hdr[:]...)
@@ -73,7 +32,7 @@ func serializeNode(out []byte, n *node, resolve func(nodeID) fileExtent) []byte 
 		out[base+4] = 1
 		binary.LittleEndian.PutUint32(out[base+8:], uint32(len(n.entries)))
 		for i := range n.entries {
-			out = putMessage(out, &n.entries[i])
+			out = cowtree.AppendEntry(out, a, &n.entries[i])
 		}
 		return out
 	}
@@ -96,13 +55,14 @@ func serializeNode(out []byte, n *node, resolve func(nodeID) fileExtent) []byte 
 		out = append(out, b[:]...)
 	}
 	for i := range n.buf {
-		out = putMessage(out, &n.buf[i])
+		out = cowtree.AppendEntry(out, a, &n.buf[i])
 	}
 	return out
 }
 
-// parseNode reconstructs a node from its serialized image.
-func parseNode(data []byte) (*node, bool) {
+// parseNode reconstructs a node from its serialized image, copying its
+// keys and values into a.
+func parseNode(data []byte, a *cowtree.Arena) (*node, bool) {
 	if len(data) < pageHeaderBytes {
 		return nil, false
 	}
@@ -114,7 +74,7 @@ func parseNode(data []byte) (*node, bool) {
 	off := pageHeaderBytes
 	if n.leaf {
 		for i := 0; i < count; i++ {
-			m, used := parseMessage(data[off:])
+			m, used := cowtree.ParseEntry(a, data[off:])
 			if used == 0 {
 				return nil, false
 			}
@@ -133,7 +93,7 @@ func parseNode(data []byte) (*node, bool) {
 		if off+sl > len(data) {
 			return nil, false
 		}
-		n.seps = append(n.seps, cloneBytes(data[off:off+sl]))
+		n.seps = append(n.seps, a.Clone(data[off:off+sl]))
 		off += sl
 	}
 	for i := 0; i <= count; i++ {
@@ -148,12 +108,12 @@ func parseNode(data []byte) (*node, bool) {
 		off += childRefBytes
 	}
 	for i := 0; i < bufCount; i++ {
-		m, used := parseMessage(data[off:])
+		m, used := cowtree.ParseEntry(a, data[off:])
 		if used == 0 {
 			return nil, false
 		}
 		n.buf = append(n.buf, m)
-		n.bufBytes += m.bytes()
+		n.bufBytes += m.Bytes()
 		off += used
 	}
 	return n, true

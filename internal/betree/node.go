@@ -1,8 +1,6 @@
 package betree
 
 import (
-	"bytes"
-
 	"ptsbench/internal/cowtree"
 	"ptsbench/internal/extalloc"
 	"ptsbench/internal/kv"
@@ -18,10 +16,6 @@ type nodeID = cowtree.NodeID
 
 const nilNode = cowtree.NilNode
 
-// msgOverhead is the serialized per-message (and per-leaf-entry) header:
-// keyLen(2) + valueLen(4) + seq(8).
-const msgOverhead = 14
-
 // pageHeaderBytes is the serialized node header size.
 const pageHeaderBytes = 64
 
@@ -30,50 +24,28 @@ const pageHeaderBytes = 64
 const childRefBytes = 12
 
 // mem bundles the tree's allocation helpers handed to node methods: the
-// arena backs retained key/value copies, the pool recycles the message
-// arrays (leaf entries and interior buffers) displaced by growth and
-// splits, and scratch holds a flush batch's fresh inserts between
-// insertBatch's classify and merge passes.
+// entry storage (arena for retained key/value copies, pool for the entry
+// arrays — leaf entries and interior buffers — displaced by growth and
+// splits), and scratch, which holds a flush batch's fresh inserts
+// between insertBatch's classify and merge passes.
 type mem struct {
-	arena   cowtree.Arena
-	msgs    cowtree.Pool[message]
-	scratch []message
-}
-
-// message is one buffered update or leaf entry: key, optional value
-// bytes (content mode), accounted value length, sequence and tombstone
-// flag. Buffers and leaves share the representation because a flush
-// moves messages unchanged until they land in a leaf.
-type message struct {
-	key  []byte
-	val  []byte
-	seq  uint64
-	vlen int32
-	del  bool
-}
-
-// makeMessage builds a message value (one construction point keeps the
-// field order in one place).
-func makeMessage(key, val []byte, seq uint64, vlen int, del bool) message {
-	return message{key: key, val: val, seq: seq, vlen: int32(vlen), del: del}
-}
-
-// bytes returns the message's serialized footprint.
-func (m *message) bytes() int {
-	return msgOverhead + len(m.key) + int(m.vlen)
+	cowtree.Mem
+	scratch []cowtree.Entry
 }
 
 // node is an in-memory Bε-tree node. Leaves carry entries; interior
 // nodes carry separator keys, children and a message buffer sorted by
 // key (one message per key — a newer update overwrites the buffered
-// older one, which is the classic upsert collapse).
+// older one, which is the classic upsert collapse). Buffered messages
+// and leaf entries are both cowtree.Entry: a flush moves messages
+// unchanged until they land in a leaf.
 type node struct {
 	id     nodeID
 	parent nodeID
 	leaf   bool
 
 	// Leaf payload, sorted by key.
-	entries []message
+	entries []cowtree.Entry
 
 	// Interior payload: children[i] holds keys < seps[i] for
 	// i < len(seps); children[len(seps)] holds the rest.
@@ -87,7 +59,7 @@ type node struct {
 
 	// buf is the interior message buffer, sorted by key. bufBytes is its
 	// serialized footprint.
-	buf      []message
+	buf      []cowtree.Entry
 	bufBytes int
 
 	// childExtents is only populated on nodes reconstructed from disk
@@ -115,31 +87,6 @@ type node struct {
 	// next chains leaves left-to-right for range scans.
 	next nodeID
 }
-
-// searchMsgs returns the index of the first message in msgs with
-// key >= target.
-func searchMsgs(msgs []message, target []byte) int {
-	wHi, wLo, fast := kv.DecomposeKey(target)
-	lo, hi := 0, len(msgs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		var c int
-		if mk := msgs[mid].key; fast && len(mk) == kv.KeySize {
-			c = kv.CompareKeyWords(mk, wHi, wLo)
-		} else {
-			c = kv.CompareKeys(mk, target)
-		}
-		if c < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// search returns the index of the first leaf entry with key >= target.
-func (n *node) search(target []byte) int { return searchMsgs(n.entries, target) }
 
 // refreshSepCache rebuilds the separator word cache. Callers invoke it
 // after every seps mutation.
@@ -180,83 +127,37 @@ func (n *node) childIndex(id nodeID) int {
 }
 
 // bufGet returns the buffered message for key, or nil.
-func (n *node) bufGet(key []byte) *message {
-	i := searchMsgs(n.buf, key)
-	if i < len(n.buf) && bytes.Equal(n.buf[i].key, key) {
+func (n *node) bufGet(mm *mem, key []byte) *cowtree.Entry {
+	if i, found := cowtree.Find(&mm.Arena, n.buf, key); found {
 		return &n.buf[i]
 	}
 	return nil
 }
 
 // bufInsert upserts a message into the buffer, returning the serialized
-// size delta. owned says the message owns its key/value bytes (flushes
-// move already-owned messages down); with owned=false — the Put
-// boundary, where callers reuse their buffers — bytes are cloned (from
-// the tree's arena, so no heap allocation) only when actually retained,
-// so an overwrite (which keeps the resident key) costs no key copy at
-// all. An existing message for the same key is overwritten when the
-// incoming one is at least as new (flush batches always move the newest
-// surviving version, so the guard only matters on recovery replay).
-func (n *node) bufInsert(mm *mem, m message, owned bool) int {
-	i := searchMsgs(n.buf, m.key)
-	if i < len(n.buf) && bytes.Equal(n.buf[i].key, m.key) {
-		old := &n.buf[i]
-		if m.seq < old.seq {
-			return 0
-		}
-		delta := m.bytes() - old.bytes()
-		// Keep the resident key bytes; only the value changes.
-		m.key = old.key
-		if !owned {
-			m.val = mm.arena.Clone(m.val)
-		}
-		*old = m
-		n.bufBytes += delta
-		n.serialized += delta
-		return delta
-	}
-	if !owned {
-		m.key = mm.arena.Clone(m.key)
-		m.val = mm.arena.Clone(m.val)
-	}
-	n.buf = mm.msgs.GrowInsert(n.buf, i, m)
-	delta := m.bytes()
+// size delta. An existing message for the same key is overwritten when
+// the incoming one is at least as new (flush batches always move the
+// newest surviving version, so the guard only matters on recovery
+// replay).
+func (n *node) bufInsert(mm *mem, m cowtree.Entry) int {
+	var delta int
+	n.buf, delta = mm.Upsert(n.buf, m)
 	n.bufBytes += delta
 	n.serialized += delta
 	return delta
 }
 
 // insertLeaf inserts or replaces a leaf entry, returning the serialized
-// size delta. owned works as in bufInsert. Stale messages (older seq
-// than the stored entry) are dropped — they can only reach a leaf
-// through recovery replay.
-func (n *node) insertLeaf(mm *mem, m message, owned bool) int {
-	i := n.search(m.key)
-	if i < len(n.entries) && bytes.Equal(n.entries[i].key, m.key) {
-		e := &n.entries[i]
-		if m.seq < e.seq {
-			return 0
-		}
-		delta := m.bytes() - e.bytes()
-		m.key = e.key
-		if !owned {
-			m.val = mm.arena.Clone(m.val)
-		}
-		*e = m
-		n.serialized += delta
-		return delta
-	}
-	if !owned {
-		m.key = mm.arena.Clone(m.key)
-		m.val = mm.arena.Clone(m.val)
-	}
-	n.entries = mm.msgs.GrowInsert(n.entries, i, m)
-	delta := m.bytes()
+// size delta. Stale messages (older seq than the stored entry) are
+// dropped — they can only reach a leaf through recovery replay.
+func (n *node) insertLeaf(mm *mem, m cowtree.Entry) int {
+	var delta int
+	n.entries, delta = mm.Upsert(n.entries, m)
 	n.serialized += delta
 	return delta
 }
 
-// insertBatch applies a sorted run of owned messages (distinct keys —
+// insertBatch applies a sorted run of buffered messages (distinct keys —
 // the buffer upsert-collapses duplicates) to a leaf in two passes: one
 // classify pass that applies overwrites in place and collects fresh
 // inserts, then one merge pass that splices all inserts in a single
@@ -264,28 +165,31 @@ func (n *node) insertLeaf(mm *mem, m message, owned bool) int {
 // whose repeated binary search + entry shift made flush cascades the
 // Bε-tree cell's hottest CPU path. The returned serialized delta equals
 // the sum insertLeaf would have returned message by message.
-func (n *node) insertBatch(mm *mem, batch []message) int {
+func (n *node) insertBatch(mm *mem, batch []cowtree.Entry) int {
+	a := &mm.Arena
 	delta := 0
 	toIns := mm.scratch[:0]
-	ei := n.search(batch[0].key)
+	ei, _ := cowtree.Find(a, n.entries, mm.Key(&batch[0]))
 	for bi := range batch {
 		m := &batch[bi]
-		for ei < len(n.entries) && kv.CompareKeys(n.entries[ei].key, m.key) < 0 {
+		c := 1
+		for ei < len(n.entries) {
+			if c = cowtree.Compare(a, &n.entries[ei], m); c >= 0 {
+				break
+			}
 			ei++
 		}
-		if ei < len(n.entries) && bytes.Equal(n.entries[ei].key, m.key) {
+		if c == 0 {
 			e := &n.entries[ei]
-			if m.seq < e.seq {
+			if m.Seq() < e.Seq() {
 				continue // stale (recovery replay only)
 			}
-			delta += m.bytes() - e.bytes()
-			key := e.key // keep the resident key bytes
+			delta += m.Bytes() - e.Bytes()
 			*e = *m
-			e.key = key
 			continue
 		}
 		toIns = append(toIns, *m)
-		delta += m.bytes()
+		delta += m.Bytes()
 	}
 	mm.scratch = toIns[:0]
 	n.serialized += delta
@@ -299,7 +203,7 @@ func (n *node) insertBatch(mm *mem, batch []message) int {
 		n.entries = n.entries[:oldLen+len(toIns)]
 		si, bi := oldLen-1, len(toIns)-1
 		for dst := len(n.entries) - 1; bi >= 0; dst-- {
-			if si >= 0 && kv.CompareKeys(n.entries[si].key, toIns[bi].key) > 0 {
+			if si >= 0 && cowtree.Compare(a, &n.entries[si], &toIns[bi]) > 0 {
 				n.entries[dst] = n.entries[si]
 				si--
 			} else {
@@ -309,14 +213,14 @@ func (n *node) insertBatch(mm *mem, batch []message) int {
 		}
 		return delta
 	}
-	grown := mm.msgs.Get(oldLen + len(toIns))
+	grown := mm.Entries.Get(oldLen + len(toIns))
 	si, bi := 0, 0
 	for dst := 0; dst < len(grown); dst++ {
 		switch {
 		case si >= oldLen:
 			grown[dst] = toIns[bi]
 			bi++
-		case bi >= len(toIns) || kv.CompareKeys(n.entries[si].key, toIns[bi].key) < 0:
+		case bi >= len(toIns) || cowtree.Compare(a, &n.entries[si], &toIns[bi]) < 0:
 			grown[dst] = n.entries[si]
 			si++
 		default:
@@ -324,30 +228,31 @@ func (n *node) insertBatch(mm *mem, batch []message) int {
 			bi++
 		}
 	}
-	mm.msgs.Put(n.entries)
+	mm.Entries.Put(n.entries)
 	n.entries = grown
 	return delta
 }
 
 // splitLeaf moves the upper half of the entries into right (a fresh
 // slab-allocated node) and returns it with the separator key (first key
-// of the new node). The moved half draws pooled storage.
+// of the new node, in mm's key scratch: insertIntoParent copies it). The
+// moved half draws pooled storage.
 func (n *node) splitLeaf(mm *mem, right *node, newID nodeID) (*node, []byte) {
 	mid := len(n.entries) / 2
 	right.id = newID
 	right.parent = n.parent
 	right.leaf = true
-	right.entries = mm.msgs.CloneTail(n.entries, mid)
+	right.entries = mm.Entries.CloneTail(n.entries, mid)
 	var movedBytes int
 	for i := mid; i < len(n.entries); i++ {
-		movedBytes += n.entries[i].bytes()
+		movedBytes += n.entries[i].Bytes()
 	}
 	right.serialized = pageHeaderBytes + movedBytes
 	n.entries = n.entries[:mid]
 	n.serialized -= movedBytes
 	right.next = n.next
 	n.next = right.id
-	return right, right.entries[0].key
+	return right, mm.Key(&right.entries[0])
 }
 
 // insertChild adds a separator and child after position idx. The
@@ -355,7 +260,7 @@ func (n *node) splitLeaf(mm *mem, right *node, newID nodeID) (*node, []byte) {
 func (n *node) insertChild(mm *mem, idx int, sep []byte, child nodeID) {
 	n.seps = append(n.seps, nil)
 	copy(n.seps[idx+1:], n.seps[idx:])
-	n.seps[idx] = mm.arena.Clone(sep)
+	n.seps[idx] = mm.Arena.Clone(sep)
 	n.children = append(n.children, nilNode)
 	copy(n.children[idx+2:], n.children[idx+1:])
 	n.children[idx+1] = child
@@ -382,10 +287,10 @@ func (n *node) splitInterior(mm *mem, right *node, newID nodeID) (*node, []byte)
 	right.children = append([]nodeID(nil), n.children[mid+1:]...)
 	// Messages with key >= promoted route to the right node (childFor
 	// sends key == sep to the right child).
-	cut := searchMsgs(n.buf, promoted)
-	right.buf = mm.msgs.CloneTail(n.buf, cut)
+	cut, _ := cowtree.Find(&mm.Arena, n.buf, promoted)
+	right.buf = mm.Entries.CloneTail(n.buf, cut)
 	for i := range right.buf {
-		right.bufBytes += right.buf[i].bytes()
+		right.bufBytes += right.buf[i].Bytes()
 	}
 	n.buf = n.buf[:cut]
 	n.bufBytes -= right.bufBytes
@@ -408,13 +313,4 @@ func (n *node) recomputeSerialized() {
 	}
 	n.pivotBytes = s
 	n.serialized = s + n.bufBytes
-}
-
-func cloneBytes(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }

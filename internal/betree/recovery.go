@@ -1,7 +1,6 @@
 package betree
 
 import (
-	"bytes"
 	"fmt"
 
 	"ptsbench/internal/cowtree"
@@ -141,7 +140,7 @@ func bootstrap(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration,
 // image (interior buffers included), register the node and return its
 // child extents for the walk.
 func (t *Tree) MaterializeNode(data []byte, ext cowtree.Extent, parent cowtree.NodeID) (cowtree.NodeID, []cowtree.Extent, error) {
-	n, ok := parseNode(data)
+	n, ok := parseNode(data, &t.mem.Arena)
 	if !ok {
 		return nilNode, nil, fmt.Errorf("betree: corrupt node at extent %d+%d", ext.Start, ext.Pages)
 	}
@@ -153,15 +152,15 @@ func (t *Tree) MaterializeNode(data []byte, ext cowtree.Extent, parent cowtree.N
 	if n.leaf {
 		var sz int
 		for i := range n.entries {
-			sz += n.entries[i].bytes()
-			if s := n.entries[i].seq; s > t.seq {
+			sz += n.entries[i].Bytes()
+			if s := n.entries[i].Seq(); s > t.seq {
 				t.seq = s // recompute the counter from disk state
 			}
 		}
 		n.serialized = pageHeaderBytes + sz
 	} else {
 		for i := range n.buf {
-			if s := n.buf[i].seq; s > t.seq {
+			if s := n.buf[i].Seq(); s > t.seq {
 				t.seq = s // buffered messages count toward the max too
 			}
 		}
@@ -196,21 +195,13 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 	}
 	n := t.nodes[t.root]
 	for !n.leaf {
-		if m := n.bufGet(r.Key); m != nil && m.seq >= r.Seq {
+		if m := n.bufGet(&t.mem, r.Key); m != nil && m.Seq() >= r.Seq {
 			return now, nil
 		}
 		n = t.nodes[n.children[n.childFor(r.Key)]]
 	}
-	if i := n.search(r.Key); i < len(n.entries) &&
-		bytes.Equal(n.entries[i].key, r.Key) && n.entries[i].seq >= r.Seq {
+	if i, found := cowtree.Find(&t.mem.Arena, n.entries, r.Key); found && n.entries[i].Seq() >= r.Seq {
 		return now, nil
 	}
-	vlen := r.ValueLen
-	if r.Value != nil {
-		vlen = len(r.Value)
-	}
-	// Replayed records own their bytes (decodeRecord allocates fresh
-	// slices per record), so the message transfers them without cloning.
-	msg := makeMessage(r.Key, r.Value, r.Seq, vlen, r.Deleted)
-	return t.apply(now, msg, true)
+	return t.apply(now, cowtree.NewEntry(&t.mem.Arena, r.Key, r.Value, r.Seq, r.ValueLen, r.Deleted))
 }

@@ -59,7 +59,7 @@ type Tree struct {
 	// pool; slab backs page structs. Page structs and retained keys are
 	// immortal in this design (ids are never reused), so bump and pool
 	// allocation keep the steady-state op path allocation-free.
-	mem  mem
+	mem  cowtree.Mem
 	slab cowtree.Slab[page]
 
 	writeBuf []byte // reused serialization image (content mode)
@@ -356,7 +356,7 @@ func (t *Tree) writePage(now sim.Duration, p *page) (sim.Duration, error) {
 // tree's reused write buffer (the block device copies written bytes, so
 // aliasing the scratch across writes is safe).
 func (t *Tree) serializeImage(p *page, size int) []byte {
-	buf := serializePage(t.writeBuf[:0], p, func(id pageID) fileExtent {
+	buf := serializePage(t.writeBuf[:0], &t.mem.Arena, p, func(id pageID) fileExtent {
 		return t.pages[id].disk
 	})
 	if cap(buf) < size {
@@ -540,25 +540,13 @@ func (t *Tree) Get(now sim.Duration, key []byte) (sim.Duration, []byte, bool, er
 	if err != nil {
 		return now, nil, false, err
 	}
-	i := leaf.search(key)
-	if i >= len(leaf.entries) || !equalBytes(leaf.entries[i].key, key) || leaf.entries[i].del {
+	i, found := cowtree.Find(&t.mem.Arena, leaf.entries, key)
+	if !found || leaf.entries[i].Deleted() {
 		return now, nil, false, nil
 	}
 	e := &leaf.entries[i]
-	t.stats.UserBytesRead += int64(len(key)) + int64(e.vlen)
-	return now, e.val, true, nil
-}
-
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	t.stats.UserBytesRead += int64(len(key)) + int64(e.ValueLen())
+	return now, e.Value(&t.mem.Arena), true, nil
 }
 
 // Scan returns up to limit live entries with key >= start, in key order,
@@ -576,7 +564,7 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 	now += t.cfg.CPUGetTime
 	var out []kv.Entry
 	leaf := t.descend(start)
-	idx := leaf.search(start)
+	idx, _ := cowtree.Find(&t.mem.Arena, leaf.entries, start)
 	for limit > 0 && leaf != nil {
 		var err error
 		now, err = t.loadLeafPrefetching(now, leaf)
@@ -586,16 +574,16 @@ func (t *Tree) Scan(now sim.Duration, start []byte, limit int) (sim.Duration, []
 		}
 		for ; idx < len(leaf.entries) && limit > 0; idx++ {
 			le := &leaf.entries[idx]
-			if le.del {
+			if le.Deleted() {
 				continue
 			}
 			e := kv.Entry{
-				Key:      append([]byte(nil), le.key...),
-				ValueLen: int(le.vlen),
-				Seq:      le.seq,
+				Key:      append([]byte(nil), t.mem.Key(le)...),
+				ValueLen: le.ValueLen(),
+				Seq:      le.Seq(),
 			}
-			if le.val != nil {
-				e.Value = append([]byte(nil), le.val...)
+			if v := le.Value(&t.mem.Arena); v != nil {
+				e.Value = append([]byte(nil), v...)
 			}
 			t.stats.UserBytesRead += int64(len(e.Key) + e.ValueLen)
 			out = append(out, e)
@@ -635,7 +623,7 @@ func (t *Tree) insertIntoParent(left *page, sep []byte, right *page) {
 	if left.id == t.root {
 		newRoot := t.newPage(false)
 		newRoot.children = []pageID{left.id, right.id}
-		newRoot.seps = [][]byte{t.mem.arena.Clone(sep)}
+		newRoot.seps = [][]byte{t.mem.Arena.Clone(sep)}
 		newRoot.recomputeSerialized()
 		newRoot.refreshSepCache()
 		left.parent = newRoot.id

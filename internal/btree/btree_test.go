@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ptsbench/internal/blockdev"
+	"ptsbench/internal/cowtree"
 	"ptsbench/internal/extfs"
 	"ptsbench/internal/flash"
 	"ptsbench/internal/kv"
@@ -251,31 +252,33 @@ func TestWAAStableOverTime(t *testing.T) {
 }
 
 func TestPageSerializationRoundTrip(t *testing.T) {
-	var m mem
+	var m cowtree.Mem
 	leaf := &page{leaf: true, serialized: pageHeaderBytes}
 	leaf.insertLeaf(&m, kv.EncodeKey(1), []byte("abc"), 0, 7, false)
 	leaf.insertLeaf(&m, kv.EncodeKey(2), nil, 64, 9, true)
-	data := serializePage(nil, leaf, nil)
-	got, ok := parsePage(data)
+	data := serializePage(nil, &m.Arena, leaf, nil)
+	var pm cowtree.Mem // the parsed copy's storage
+	a := &pm.Arena
+	got, ok := parsePage(data, a)
 	if !ok {
 		t.Fatal("parse failed")
 	}
-	if len(got.entries) != 2 || !bytes.Equal(got.entries[0].key, kv.EncodeKey(1)) {
+	if len(got.entries) != 2 || !bytes.Equal(pm.Key(&got.entries[0]), kv.EncodeKey(1)) {
 		t.Fatalf("entries wrong: %v", got.entries)
 	}
-	if string(got.entries[0].val) != "abc" || got.entries[0].seq != 7 {
+	if e := &got.entries[0]; string(e.Value(a)) != "abc" || e.Seq() != 7 {
 		t.Fatal("entry 0 wrong")
 	}
-	if !got.entries[1].del || got.entries[1].seq != 9 || got.entries[1].vlen != 64 {
+	if e := &got.entries[1]; !e.Deleted() || e.Seq() != 9 || e.ValueLen() != 64 {
 		t.Fatal("tombstone entry wrong")
 	}
 
 	internal := &page{leaf: false, children: []pageID{1, 2, 3}, seps: [][]byte{kv.EncodeKey(10), kv.EncodeKey(20)}}
 	internal.recomputeSerialized()
-	data = serializePage(nil, internal, func(id pageID) fileExtent {
+	data = serializePage(nil, &m.Arena, internal, func(id pageID) fileExtent {
 		return fileExtent{Start: int64(id) * 100, Pages: 4}
 	})
-	got, ok = parsePage(data)
+	got, ok = parsePage(data, a)
 	if !ok || len(got.children) != 3 || len(got.seps) != 2 {
 		t.Fatalf("internal round trip: %+v %v", got, ok)
 	}
@@ -286,18 +289,18 @@ func TestPageSerializationRoundTrip(t *testing.T) {
 		t.Fatal("internal content wrong")
 	}
 
-	if _, ok := parsePage([]byte{1, 2, 3}); ok {
+	if _, ok := parsePage([]byte{1, 2, 3}, a); ok {
 		t.Fatal("short page should fail")
 	}
 
 	// Appending to a non-empty buffer must leave the prefix intact and
 	// produce a parseable image after it (the serializer writes its
 	// header relative to the append point, not index 0).
-	prefixed := serializePage([]byte("prefix"), leaf, nil)
+	prefixed := serializePage([]byte("prefix"), &m.Arena, leaf, nil)
 	if string(prefixed[:6]) != "prefix" {
 		t.Fatalf("serialize clobbered the buffer prefix: %q", prefixed[:6])
 	}
-	if got, ok := parsePage(prefixed[6:]); !ok || len(got.entries) != 2 {
+	if got, ok := parsePage(prefixed[6:], a); !ok || len(got.entries) != 2 {
 		t.Fatal("image appended after a prefix failed to parse")
 	}
 }

@@ -1,8 +1,6 @@
 package btree
 
 import (
-	"bytes"
-
 	"ptsbench/internal/cowtree"
 	"ptsbench/internal/extalloc"
 	"ptsbench/internal/kv"
@@ -18,10 +16,6 @@ type pageID = cowtree.NodeID
 
 const nilPage = cowtree.NilNode
 
-// entryOverhead is the serialized per-entry header in a leaf:
-// keyLen(2) + valueLen(4) + seq(8).
-const entryOverhead = 14
-
 // pageHeaderBytes is the serialized page header size.
 const pageHeaderBytes = 64
 
@@ -34,11 +28,11 @@ type page struct {
 	parent pageID
 	leaf   bool
 
-	// Leaf payload, sorted by key. entry.val may be nil in accounting
-	// mode with entry.vlen carrying the accounted size. A single entry
-	// slice (instead of five parallel column slices) keeps an insert to
-	// one shift and a split to one allocation.
-	entries []leafEntry
+	// Leaf payload, sorted by key (see cowtree.Entry; values are absent
+	// in accounting mode, which keeps only the accounted size). A single
+	// entry slice (instead of five parallel column slices) keeps an
+	// insert to one shift and a split to one allocation.
+	entries []cowtree.Entry
 
 	// Internal payload: children[i] holds keys < seps[i] for
 	// i < len(seps); children[len(seps)] holds the rest.
@@ -69,57 +63,6 @@ type page struct {
 
 	// next chains leaves left-to-right for range scans.
 	next pageID
-}
-
-// mem bundles the tree's allocation helpers handed to page methods: the
-// arena backs retained key/value copies, the pool recycles leaf entry
-// arrays displaced by growth and splits.
-type mem struct {
-	arena   cowtree.Arena
-	entries cowtree.Pool[leafEntry]
-}
-
-// leafEntry is one key-value record inside a leaf page.
-type leafEntry struct {
-	key  []byte
-	val  []byte
-	seq  uint64
-	vlen int32
-	del  bool
-}
-
-// makeEntry builds a leafEntry value (one construction point keeps the
-// field order in one place).
-func makeEntry(key, val []byte, seq uint64, vlen int, del bool) leafEntry {
-	return leafEntry{key: key, val: val, seq: seq, vlen: int32(vlen), del: del}
-}
-
-// bytes returns the entry's serialized footprint.
-func (e *leafEntry) bytes() int {
-	return entryOverhead + len(e.key) + int(e.vlen)
-}
-
-// search returns the index of the first key >= target in a leaf. Open-
-// coded binary search: the closure-based sort.Search showed up in every
-// descend/insert profile.
-func (p *page) search(target []byte) int {
-	wHi, wLo, fast := kv.DecomposeKey(target)
-	lo, hi := 0, len(p.entries)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		var c int
-		if mk := p.entries[mid].key; fast && len(mk) == kv.KeySize {
-			c = kv.CompareKeyWords(mk, wHi, wLo)
-		} else {
-			c = kv.CompareKeys(mk, target)
-		}
-		if c < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // refreshSepCache rebuilds the separator word cache. Callers invoke it
@@ -165,51 +108,28 @@ func (p *page) childIndex(id pageID) int {
 // and the accounted size consistent. Retained key/value copies come from
 // the tree's arena and array growth recycles through the entry pool, so
 // the steady-state path costs no heap allocation.
-func (p *page) insertLeaf(m *mem, key, val []byte, vlen int, seq uint64, del bool) int {
-	if val != nil {
-		vlen = len(val)
-	}
-	i := p.search(key)
-	if i < len(p.entries) && bytes.Equal(p.entries[i].key, key) {
-		e := &p.entries[i]
-		old := e.bytes()
-		e.val = m.arena.Clone(val)
-		e.vlen = int32(vlen)
-		e.seq = seq
-		e.del = del
-		delta := entryOverhead + len(key) + vlen - old
-		p.serialized += delta
-		return delta
-	}
-	p.entries = m.entries.GrowInsert(p.entries, i,
-		makeEntry(m.arena.Clone(key), m.arena.Clone(val), seq, vlen, del))
-	delta := entryOverhead + len(key) + vlen
+func (p *page) insertLeaf(m *cowtree.Mem, key, val []byte, vlen int, seq uint64, del bool) int {
+	var delta int
+	p.entries, delta = m.Upsert(p.entries, cowtree.NewEntry(&m.Arena, key, val, seq, vlen, del))
 	p.serialized += delta
 	return delta
 }
 
-// removeLeafAt deletes entry i outright (used by tombstone reclamation in
-// tests; normal deletes keep tombstoned entries until overwritten).
-func (p *page) removeLeafAt(i int) {
-	sz := p.entries[i].bytes()
-	p.entries = append(p.entries[:i], p.entries[i+1:]...)
-	p.serialized -= sz
-}
-
 // splitLeaf moves the upper half of the entries into right (a fresh
 // slab-allocated page) and returns it with the separator key (first key
-// of the new page). The moved half draws pooled storage whose capacity
-// class (next power of two) leaves room to refill toward the page's own
-// split without regrowing.
-func (p *page) splitLeaf(m *mem, right *page, newID pageID) (*page, []byte) {
+// of the new page, in m's key scratch: insertIntoParent copies it). The
+// moved half draws pooled storage whose capacity class (next power of
+// two) leaves room to refill toward the page's own split without
+// regrowing.
+func (p *page) splitLeaf(m *cowtree.Mem, right *page, newID pageID) (*page, []byte) {
 	mid := len(p.entries) / 2
 	right.id = newID
 	right.parent = p.parent
 	right.leaf = true
-	right.entries = m.entries.CloneTail(p.entries, mid)
+	right.entries = m.Entries.CloneTail(p.entries, mid)
 	var movedBytes int
 	for i := mid; i < len(p.entries); i++ {
-		movedBytes += p.entries[i].bytes()
+		movedBytes += p.entries[i].Bytes()
 	}
 	right.serialized = pageHeaderBytes + movedBytes
 	p.entries = p.entries[:mid]
@@ -217,7 +137,7 @@ func (p *page) splitLeaf(m *mem, right *page, newID pageID) (*page, []byte) {
 	// Maintain the leaf chain.
 	right.next = p.next
 	p.next = right.id
-	return right, right.entries[0].key
+	return right, m.Key(&right.entries[0])
 }
 
 // childRefBytes is the serialized size of one child reference in an
@@ -227,10 +147,10 @@ const childRefBytes = 12
 
 // insertChild adds a separator and child after position idx in an
 // internal page. The separator copy comes from the tree's arena.
-func (p *page) insertChild(m *mem, idx int, sep []byte, child pageID) {
+func (p *page) insertChild(m *cowtree.Mem, idx int, sep []byte, child pageID) {
 	p.seps = append(p.seps, nil)
 	copy(p.seps[idx+1:], p.seps[idx:])
-	p.seps[idx] = m.arena.Clone(sep)
+	p.seps[idx] = m.Arena.Clone(sep)
 	p.children = append(p.children, nilPage)
 	copy(p.children[idx+2:], p.children[idx+1:])
 	p.children[idx+1] = child
@@ -269,13 +189,4 @@ func (p *page) recomputeSerialized() {
 		s += 2 + len(sep)
 	}
 	p.serialized = s
-}
-
-func cloneBytes(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }

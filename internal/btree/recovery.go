@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"bytes"
 	"fmt"
 
 	"ptsbench/internal/cowtree"
@@ -138,7 +137,7 @@ func bootstrap(fs *extfs.FS, cfg Config, now sim.Duration) (*Tree, sim.Duration,
 // MaterializeNode implements cowtree.RecoveryEngine: parse one on-disk
 // image, register the page and return its child extents for the walk.
 func (t *Tree) MaterializeNode(data []byte, ext cowtree.Extent, parent cowtree.NodeID) (cowtree.NodeID, []cowtree.Extent, error) {
-	p, ok := parsePage(data)
+	p, ok := parsePage(data, &t.mem.Arena)
 	if !ok {
 		return nilPage, nil, fmt.Errorf("btree: corrupt page at extent %d+%d", ext.Start, ext.Pages)
 	}
@@ -150,8 +149,8 @@ func (t *Tree) MaterializeNode(data []byte, ext cowtree.Extent, parent cowtree.N
 	if p.leaf {
 		var sz int
 		for i := range p.entries {
-			sz += p.entries[i].bytes()
-			if s := p.entries[i].seq; s > t.seq {
+			sz += p.entries[i].Bytes()
+			if s := p.entries[i].Seq(); s > t.seq {
 				t.seq = s // recompute the counter from disk state
 			}
 		}
@@ -184,8 +183,7 @@ func (t *Tree) ApplyRecovered(now sim.Duration, r *wal.Record) (sim.Duration, er
 		t.seq = r.Seq
 	}
 	leaf := t.descend(r.Key)
-	i := leaf.search(r.Key)
-	if i < len(leaf.entries) && bytes.Equal(leaf.entries[i].key, r.Key) && leaf.entries[i].seq >= r.Seq {
+	if i, found := cowtree.Find(&t.mem.Arena, leaf.entries, r.Key); found && leaf.entries[i].Seq() >= r.Seq {
 		return now, nil // on-disk state is as new or newer
 	}
 	vlen := r.ValueLen

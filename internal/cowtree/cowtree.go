@@ -1,8 +1,9 @@
 // Package cowtree implements the copy-on-write checkpoint/recovery
 // discipline shared by the page/node-based tree engines (B+Tree,
 // Bε-tree), the way internal/extalloc was extracted for their extent
-// allocator. The engines keep their own node representation, codecs and
-// read/write paths; this package owns everything both had duplicated:
+// allocator. The engines keep their own node representation, node
+// codecs and read/write paths; this package owns everything both had
+// duplicated:
 //
 //   - dirty-set tracking (append-order transition log, filtered on the
 //     node flag at snapshot time),
@@ -14,7 +15,9 @@
 //   - the journal segment pool,
 //   - the recovery skeleton: tree walk from the checkpointed root,
 //     free-list reconstruction, leaf-chain rebuild, sequence-sorted
-//     journal replay and stale-segment retirement.
+//     journal replay and stale-segment retirement,
+//   - the record type of leaves and buffers (Entry, pointer-free and
+//     arena-backed) with its one search, compare and codec.
 //
 // An engine embeds a Core, implements the small Engine interface over
 // its node type, and routes its checkpoint/recovery entry points through

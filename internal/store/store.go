@@ -28,8 +28,9 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"ptsbench/internal/blockdev"
@@ -146,8 +147,10 @@ type shard struct {
 	// Worker plumbing (multi-shard stores only). The worker goroutine
 	// executes closures sent on ch; the store's WaitGroup is the
 	// barrier, so the main goroutine never touches shard state while a
-	// closure runs.
-	ch chan func()
+	// closure runs. pump is the shard's Pump task (process, then signal
+	// the barrier), bound once in New so an epoch allocates nothing.
+	ch   chan func()
+	pump func()
 
 	err error // scratch for lifecycle operations (Load, FlushAll, Scan)
 }
@@ -200,6 +203,10 @@ func New(shards int, open func(i int) (Stack, error)) (*Store, error) {
 		}
 		if shards > 1 {
 			sh.ch = make(chan func(), 1)
+			sh.pump = func() {
+				sh.process()
+				s.wg.Done()
+			}
 			go sh.run(sh.ch)
 		}
 		s.shards = append(s.shards, sh)
@@ -301,13 +308,8 @@ func (s *Store) Pump() []Completion {
 		}
 		s.wg.Add(n)
 		for _, sh := range s.shards {
-			if len(sh.intake) == 0 {
-				continue
-			}
-			sh := sh
-			sh.ch <- func() {
-				sh.process()
-				s.wg.Done()
+			if len(sh.intake) > 0 {
+				sh.ch <- sh.pump
 			}
 		}
 		s.wg.Wait()
@@ -319,7 +321,8 @@ func (s *Store) Pump() []Completion {
 		sh.unsorted = false
 	}
 	if needSort {
-		sort.Slice(s.comps, func(i, j int) bool { return s.comps[i].Seq < s.comps[j].Seq })
+		// Seq is unique, so the order does not depend on the algorithm.
+		slices.SortFunc(s.comps, func(a, b Completion) int { return cmp.Compare(a.Seq, b.Seq) })
 	}
 	s.pending = 0
 	return s.comps
@@ -526,26 +529,15 @@ func countWrites(rs []request) int {
 }
 
 // sortRequests orders by (submit time, submission number): FIFO by
-// virtual arrival with deterministic ties. Intakes are small (at most
-// clients × queue depth), so an insertion sort avoids sort.Slice's
-// per-call closure allocation on the hot path.
+// virtual arrival with deterministic ties (submission numbers are
+// unique, so the order is total). slices.SortFunc allocates nothing.
 func sortRequests(rs []request) {
-	if len(rs) > 64 {
-		sort.Slice(rs, func(i, j int) bool { return requestLess(rs[i], rs[j]) })
-		return
-	}
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && requestLess(rs[j], rs[j-1]); j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
+	slices.SortFunc(rs, func(a, b request) int {
+		if a.op.Submit != b.op.Submit {
+			return cmp.Compare(a.op.Submit, b.op.Submit)
 		}
-	}
-}
-
-func requestLess(a, b request) bool {
-	if a.op.Submit != b.op.Submit {
-		return a.op.Submit < b.op.Submit
-	}
-	return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
+	})
 }
 
 // Load ingests keys 0..numKeys-1 with nil values of valueBytes each —
